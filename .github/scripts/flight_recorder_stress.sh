@@ -31,7 +31,7 @@ printf '<site><item><v>1</v></item><item><v>2</v></item><item><v>3</v></item></s
 # journal; the 5ms injected delay guarantees every query crosses the
 # 1ms slow threshold without a deadline in the way.
 SXSI_DOMAINS=4 SXSI_FAILPOINTS="engine.eval=delay:5" \
-  "$SXSI" serve -p 0 --workers 2 \
+  "$SXSI" serve -p 0 \
   --flight-recorder --slow-ms 1 --slow-log "$workdir/slow.jsonl" \
   --load "doc=$workdir/doc.xml" 2> "$workdir/server.log" &
 server_pid=$!

@@ -2,7 +2,7 @@
 # Connection-churn stress for the event-driven `sxsi serve` front end.
 #
 # Cycles CHURN_N (default 10000) short-lived TCP sessions against a
-# live `sxsi serve --serve-mode=evloop` process — connect, one COUNT,
+# live `sxsi serve` process — connect, one COUNT,
 # read the answer, disconnect — then asserts via STATS that every
 # accepted connection was also closed (no session leaked in the
 # loop's registration table) and via /proc/<pid>/fd that the server's
@@ -26,7 +26,7 @@ trap '[ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null; rm -rf "$workdir"'
 printf '<site><item><v>1</v></item><item><v>2</v></item><item><v>3</v></item></site>\n' \
   > "$workdir/doc.xml"
 
-"$SXSI" serve -p 0 --serve-mode evloop \
+"$SXSI" serve -p 0 \
   --load "doc=$workdir/doc.xml" 2> "$workdir/server.log" &
 server_pid=$!
 

@@ -3,10 +3,10 @@
 #
 # A server with a 50ms default deadline and an injected 80ms delay at
 # the engine entry point must answer ERR DEADLINE for every query —
-# promptly, not after a hang — and its single worker must survive to
+# promptly, not after a hang — and its shard executor must survive to
 # serve the next connection.  A session that clears the deadline with
 # `DEADLINE 0` then gets a healthy answer despite the delay, proving
-# the worker was reused rather than replaced or wedged.
+# the executor was reused rather than replaced or wedged.
 set -euo pipefail
 
 if command -v opam > /dev/null 2>&1; then
@@ -24,7 +24,7 @@ printf '<site><item><v>1</v></item><item><v>2</v></item><item><v>3</v></item></s
   > "$workdir/doc.xml"
 
 SXSI_FAILPOINTS="engine.eval=delay:80" \
-  "$SXSI" serve -p 0 --workers 1 --timeout 50 \
+  "$SXSI" serve -p 0 --timeout 50 \
   --load "doc=$workdir/doc.xml" 2> "$workdir/server.log" &
 server_pid=$!
 
@@ -64,15 +64,15 @@ if [ "$elapsed_ms" -ge 2000 ]; then
   exit 1
 fi
 
-# Same worker, next connection: clearing the session deadline must let
+# Same executor, next connection: clearing the session deadline must let
 # the (still delayed) query complete.  COUNT answers on a single OK
 # line (QUERY success uses the multi-line DATA form).
 resp=$(ask "DEADLINE 0" "COUNT doc //item" | tail -1)
 echo "post-clear response: $resp"
 case "$resp" in
   "OK"*) ;;
-  *) echo "FAIL: worker did not serve a healthy request after a deadline miss: $resp" >&2
+  *) echo "FAIL: executor did not serve a healthy request after a deadline miss: $resp" >&2
      exit 1 ;;
 esac
 
-echo "PASS: deadline enforced promptly and worker reused"
+echo "PASS: deadline enforced promptly and executor reused"

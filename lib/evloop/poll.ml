@@ -1,13 +1,3 @@
-type backend = Poll_syscall | Select
-
-(* Read per call (it is one environment lookup per loop turn): tests
-   flip SXSI_EVLOOP_POLL with [Unix.putenv] to drive both backends in
-   one process. *)
-let backend () =
-  match Sys.getenv_opt "SXSI_EVLOOP_POLL" with
-  | Some "select" -> Select
-  | Some _ | None -> Poll_syscall
-
 let ev_read = 1
 let ev_write = 2
 let ev_error = 4
@@ -75,42 +65,19 @@ let rebuild t =
   t.n <- n;
   t.dirty <- false
 
-let dispatch t ready_of_fd k =
+let dispatch t k =
   (* Snapshot-driven dispatch: registration changes made by the
      callback only take effect on the next [wait].  Skip fds the
      callback removed meanwhile. *)
   let fired = ref 0 in
   for i = 0 to t.n - 1 do
-    let r = ready_of_fd i in
+    let r = t.revents.(i) in
     if r <> 0 && Hashtbl.mem t.tbl t.fds.(i) then begin
       incr fired;
       k t.fds.(i) r
     end
   done;
   !fired
-
-let wait_poll t ~timeout_ms k =
-  let rc = poll_stub t.fds t.events t.revents t.n timeout_ms in
-  if rc = 0 then 0 else dispatch t (fun i -> t.revents.(i)) k
-
-let wait_select t ~timeout_ms k =
-  let rd = ref [] and wr = ref [] in
-  for i = 0 to t.n - 1 do
-    if t.events.(i) land ev_read <> 0 then rd := t.fds.(i) :: !rd;
-    if t.events.(i) land ev_write <> 0 then wr := t.fds.(i) :: !wr
-  done;
-  let timeout = if timeout_ms < 0 then -1.0 else float_of_int timeout_ms /. 1000.0 in
-  match Unix.select !rd !wr [] timeout with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
-  | rready, wready, _ ->
-    if rready = [] && wready = [] then 0
-    else
-      dispatch t
-        (fun i ->
-          let fd = t.fds.(i) in
-          (if List.memq fd rready then ev_read else 0)
-          lor if List.memq fd wready then ev_write else 0)
-        k
 
 let wait t ~timeout_ms k =
   if t.dirty then rebuild t;
@@ -119,7 +86,5 @@ let wait t ~timeout_ms k =
     if timeout_ms > 0 then Unix.sleepf (float_of_int timeout_ms /. 1000.0);
     0
   end
-  else
-    match backend () with
-    | Poll_syscall -> wait_poll t ~timeout_ms k
-    | Select -> wait_select t ~timeout_ms k
+  else if poll_stub t.fds t.events t.revents t.n timeout_ms = 0 then 0
+  else dispatch t k

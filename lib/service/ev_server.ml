@@ -21,8 +21,7 @@
    Deadlines are charged from submission: the executor measures how
    long the request sat in its queue and passes it to the service as
    [elapsed_ns], so a request that queued past its deadline fails
-   before doing any work — the evloop analog of the threaded server's
-   accept-queue charging. *)
+   before doing any work. *)
 
 module Counter = Sxsi_obs.Counter
 module Clock = Sxsi_obs.Clock
@@ -50,8 +49,7 @@ let shed_retry_after_ms = 100
 (* ------------------------------------------------------------------ *)
 
 (* One domain per shard, fed through a blocking queue.  Jobs enqueued
-   before [close] still run, mirroring the threaded server's
-   drain-on-shutdown queue. *)
+   before [close] still run, so shutdown drains the queue. *)
 type exec = {
   jobs : (unit -> unit) Queue.t;
   em : Mutex.t;
@@ -152,10 +150,6 @@ type t = {
 
 and waiter = { wc : conn; wslot : slot; wsvc : Service.t }
 
-let chomp_cr s =
-  let n = String.length s in
-  if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s
-
 let close_conn t c =
   if not c.closed then begin
     c.closed <- true;
@@ -218,7 +212,6 @@ let flush_conn t c =
    coalescing and loop counters are scrapeable over the protocol. *)
 let ev_stats_lines t =
   [
-    ("ev_backend", (match Poll.backend () with Poll.Poll_syscall -> "poll" | Poll.Select -> "select"));
     ("ev_shards", string_of_int (Shards.count t.shards));
     ("ev_connections", string_of_int (Hashtbl.length t.conns));
     ("ev_turns", string_of_int (Loop.turns_total t.loop));
@@ -375,16 +368,12 @@ let submit t c line =
 (* Reading and framing                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let too_long_resp t =
-  Protocol.err "TOOLONG"
-    (Printf.sprintf "request line longer than %d bytes" t.max_line)
-
 let rec parse_buffered t c =
   if (not c.closed) && not c.closing then
     if c.draining then begin
       if Netbuf.drain_line c.rbuf then begin
         c.draining <- false;
-        let resp = Service.reject (Shards.primary t.shards) (too_long_resp t) in
+        let resp = Service.reject (Shards.primary t.shards) (Protocol.too_long t.max_line) in
         Queue.push { out = Some (Protocol.print_response resp) } c.slots;
         parse_buffered t c
       end
@@ -393,7 +382,7 @@ let rec parse_buffered t c =
     else
       match Netbuf.next_line c.rbuf ~max_line:t.max_line with
       | Netbuf.Line l ->
-        submit t c (chomp_cr l);
+        submit t c (Protocol.chomp_cr l);
         parse_buffered t c
       | Netbuf.Too_long ->
         c.draining <- true;
@@ -409,13 +398,13 @@ let on_readable t c =
   | Netbuf.Fill_would_block -> ()
   | Netbuf.Eof ->
     (* half-close: frame what was buffered; a trailing unterminated
-       line still gets an answer, like the threaded reader's
-       EOF-as-end-of-line *)
+       line still gets an answer (EOF counts as end-of-line, as in the
+       blocking [Session] reader) *)
     parse_buffered t c;
     if (not c.closing) && (not c.draining) && Netbuf.length c.rbuf > 0 then begin
       let tail = Netbuf.contents c.rbuf in
       Netbuf.clear c.rbuf;
-      submit t c (chomp_cr tail)
+      submit t c (Protocol.chomp_cr tail)
     end;
     c.closing <- true;
     c.draining <- false;
@@ -528,10 +517,6 @@ let register_metrics t =
   (* a service can only register a given exposition name once; a
      second serve over the same service keeps the first wiring *)
   try
-    Service.register_server primary
-      ~workers:(fun () -> Shards.count t.shards)
-      ~queue_depth:(fun () ->
-        Array.fold_left (fun acc e -> acc + exec_depth e) 0 t.execs);
     Service.register_exposition primary (fun e ->
         let counter = Sxsi_obs.Exposition.register_counter e in
         counter ~help:"Event-loop turns." ~name:"sxsi_evloop_turns_total"
@@ -568,7 +553,7 @@ let register_metrics t =
           (per_shard (fun ex -> float_of_int (exec_depth ex))))
   with Invalid_argument _ -> ()
 
-let serve ?(host = "127.0.0.1") ?(backlog = 64) ?(max_line = Server.default_max_line)
+let serve ?(host = "127.0.0.1") ?(backlog = 64) ?(max_line = Protocol.default_max_line)
     ?(high_water = default_high_water) ?(idle_ms = 0) ?(max_conns = default_max_conns)
     ?sndbuf ?(on_listen = fun _ -> ()) ?(stop = fun () -> false) ~port shards =
   let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in

@@ -1,8 +1,6 @@
-(** The event-driven TCP front end: a single non-blocking loop domain
-    owning every socket, one executor domain per {!Shards} shard
-    owning that shard's {!Service.t}.
-
-    Differences from the threaded {!Server}:
+(** The TCP front end: a single non-blocking loop domain owning every
+    socket, one executor domain per {!Shards} shard owning that
+    shard's {!Service.t}.
 
     {ul
     {- {b Pipelining.}  Clients may send many requests without reading
@@ -22,14 +20,17 @@
     {- {b Idle timeout.}  With [idle_ms > 0], a connection with no
        read activity and nothing in flight for that long is sent
        [ERR IDLE ...] and closed.}
+    {- {b Load shedding.}  Past [max_conns] open connections, a new
+       connection is answered [ERR SHED ... retry-after-ms=<n>] and
+       closed.}
     {- {b Deadline charging.}  Time a request spends queued for its
-       shard executor is charged against its deadline, like the
-       threaded server's accept-queue charging.}}
+       shard executor is charged against its deadline and recorded in
+       the admission-wait histogram.}}
 
-    Byte-compatibility: with one shard, every response is rendered by
-    the same {!Service.handle_line} the threaded server uses ([STATS]
-    gains trailing [ev_*] keys).  With several shards, [STATS] and
-    [METRICS] aggregate across shards ({!Shards.stats}). *)
+    With one shard, every response is rendered by
+    {!Service.handle_line} ([STATS] gains trailing [ev_*] keys).  With
+    several shards, [STATS] and [METRICS] aggregate across shards
+    ({!Shards.stats}). *)
 
 val serve :
   ?host:string ->
@@ -50,7 +51,7 @@ val serve :
     at least every 200ms).  On return the listener and every
     connection are closed and every executor domain joined.
 
-    [max_line] bounds a request line ({!Server.default_max_line});
+    [max_line] bounds a request line ({!Protocol.default_max_line});
     longer lines are drained and answered [ERR TOOLONG].  [high_water]
     (default 256 KiB) is the per-connection write-buffer backpressure
     threshold.  [idle_ms] (default [0]: off) closes idle connections

@@ -41,8 +41,10 @@ let record_admission_wait t ns = Histogram.record t.admission_wait ns
 
 let ms ns = float_of_int ns /. 1e6
 
+let quantile_ms h q = Printf.sprintf "%.3f" (Histogram.quantile h q /. 1e6)
+
 let to_assoc t ~doc_evictions =
-  let q h p = Printf.sprintf "%.3f" (Histogram.quantile h p /. 1e6) in
+  let q = quantile_ms in
   [
     ("requests", string_of_int (Counter.get t.requests));
     ("errors", string_of_int (Counter.get t.errors));

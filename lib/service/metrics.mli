@@ -16,13 +16,13 @@ type t = {
   count_misses : Sxsi_obs.Counter.t;
   connections_opened : Sxsi_obs.Counter.t;  (** connections accepted into a session *)
   connections_closed : Sxsi_obs.Counter.t;  (** sessions finished (any reason) *)
-  connections_shed : Sxsi_obs.Counter.t;    (** connections refused: accept queue full *)
+  connections_shed : Sxsi_obs.Counter.t;    (** connections refused: connection limit reached *)
   deadline_errors : Sxsi_obs.Counter.t;     (** requests answered [ERR DEADLINE] *)
   budget_errors : Sxsi_obs.Counter.t;       (** requests answered [ERR BUDGET] *)
   breaker_rejections : Sxsi_obs.Counter.t;  (** requests refused by an open breaker *)
   latency : Sxsi_obs.Histogram.t;       (** per-request latency, nanoseconds *)
   admission_wait : Sxsi_obs.Histogram.t;
-      (** per-connection accept-queue wait, nanoseconds *)
+      (** per-request wait for the shard executor, nanoseconds *)
 }
 
 val create : unit -> t
@@ -33,8 +33,12 @@ val record_latency : t -> int -> unit
     service lock). *)
 
 val record_admission_wait : t -> int -> unit
-(** Record one connection's accept-queue wait in nanoseconds (caller
-    holds the service lock). *)
+(** Record one request's wait for the shard executor in nanoseconds
+    (caller holds the service lock). *)
+
+val quantile_ms : Sxsi_obs.Histogram.t -> float -> string
+(** [quantile_ms h q]: the [q] quantile of a nanosecond histogram in
+    milliseconds, rendered the way [STATS] prints percentiles. *)
 
 val to_assoc : t -> doc_evictions:int -> (string * string) list
 (** Stable key/value rendering for the [STATS] response.  The key set

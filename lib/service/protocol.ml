@@ -21,6 +21,12 @@ type response =
 (* Requests                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let default_max_line = 64 * 1024
+
+let chomp_cr s =
+  let n = String.length s in
+  if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s
+
 let is_space c = c = ' ' || c = '\t'
 
 (* Split off the first whitespace-delimited word; the remainder keeps
@@ -135,6 +141,9 @@ let err ?retry_after_ms code detail =
   match retry_after_ms with
   | None -> Err (Printf.sprintf "%s %s" code detail)
   | Some ms -> Err (Printf.sprintf "%s %s; retry-after-ms=%d" code detail ms)
+
+let too_long max_line =
+  err "TOOLONG" (Printf.sprintf "request line longer than %d bytes" max_line)
 
 let is_code w =
   w <> ""

@@ -66,6 +66,15 @@ type response =
 val parse_request : string -> (request, string) result
 (** Parse one request line (no trailing newline). *)
 
+val default_max_line : int
+(** Default bound on a request line, in bytes (64 KiB).  A protocol
+    line is a verb, a name and a query, so anything longer is abuse or
+    a framing bug: front ends drain it to its newline and answer
+    {!too_long}. *)
+
+val chomp_cr : string -> string
+(** Strip the trailing ['\r'] a CRLF client leaves on a framed line. *)
+
 val print_request : request -> string
 (** Canonical one-line rendering; [parse_request (print_request r) = Ok r]
     whenever names/paths are whitespace-free and the query is non-empty
@@ -82,6 +91,9 @@ val err_code : response -> string option
 
 val retry_after_ms : response -> int option
 (** The [retry-after-ms=<n>] hint of an [Err] response, if present. *)
+
+val too_long : int -> response
+(** The [ERR TOOLONG] answer to a request line over the given bound. *)
 
 val print_response : response -> string
 (** Wire rendering, dot-stuffed, every line ["\n"]-terminated. *)

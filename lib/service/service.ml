@@ -99,7 +99,7 @@ let build_exposition ~metrics ~registry ~compiled ~counts ~breakers ~breakers_lo
     metrics.Metrics.connections_opened;
   counter ~help:"Sessions finished, for any reason." ~name:"sxsi_connections_closed_total"
     metrics.Metrics.connections_closed;
-  counter ~help:"Connections refused because the accept queue was full."
+  counter ~help:"Connections refused: connection limit reached."
     ~name:"sxsi_connections_shed_total" metrics.Metrics.connections_shed;
   Sxsi_obs.Exposition.register_histogram e
     ~help:"Request latency." ~scale:1e-9 ~name:"sxsi_request_duration_seconds"
@@ -146,7 +146,7 @@ let build_exposition ~metrics ~registry ~compiled ~counts ~breakers ~breakers_lo
                (fun _ b n -> if Breaker.is_open b then n + 1 else n)
                breakers 0)));
   Sxsi_obs.Exposition.register_histogram e
-    ~help:"Accept-queue wait before a connection's first request." ~scale:1e-9
+    ~help:"Wait for the shard executor before evaluation." ~scale:1e-9
     ~name:"sxsi_admission_wait_seconds" metrics.Metrics.admission_wait;
   (* Flight-recorder series.  Process-global, registered here (not in
      Runtime.register) so drops and ring pressure are visible in
@@ -221,18 +221,8 @@ let shutdown t =
   Option.iter Sxsi_par.Pool.shutdown t.pool;
   Option.iter Sxsi_obs.Slowlog.close t.slow_log
 
-(* Server front ends hang their worker/queue gauges off the service's
-   exposition so METRICS reports them alongside everything else. *)
-let register_server t ~workers ~queue_depth =
-  Mutex.protect t.lock (fun () ->
-      let gauge = Sxsi_obs.Exposition.register_gauge t.exposition in
-      gauge ~help:"Server worker domains." ~name:"sxsi_server_workers" (fun () ->
-          float_of_int (workers ()));
-      gauge ~help:"Connections waiting in the accept queue."
-        ~name:"sxsi_server_queue_depth" (fun () -> float_of_int (queue_depth ())))
-
 (* Front ends with their own instrumentation (the event loop's turn
-   and coalescing counters) register it under the same lock. *)
+   and coalescing counters) register it under the service lock. *)
 let register_exposition t f = Mutex.protect t.lock (fun () -> f t.exposition)
 
 (* Likewise for the runtime sampler: the serve front end starts one
@@ -392,8 +382,8 @@ let breaker_for t doc =
              b))
 
 (* The request budget: session deadline (or the configured default)
-   minus whatever the request already spent waiting in the accept
-   queue, plus the configured result/byte caps.  [None] when nothing
+   minus whatever the request already spent waiting for its shard
+   executor, plus the configured result/byte caps.  [None] when nothing
    bounds this request. *)
 let budget_for t ~deadline_ms ~elapsed_ns =
   let deadline_ms =
@@ -571,9 +561,10 @@ let dispatch t ~deadline_ms ~elapsed_ns (req : Protocol.request) : Protocol.resp
     Protocol.Ok [ "deadline"; (if ms = 0 then "off" else string_of_int ms) ]
   | Profile secs ->
     (* sample the whole process for the window, then answer with the
-       JSON report followed by the collapsed-stack lines.  Blocks the
-       calling worker; the event-driven front end never routes Profile
-       here (it diffs snapshots off a loop timer instead). *)
+       JSON report followed by the collapsed-stack lines.  Only the
+       blocking [repl] session reaches this (sleeping is harmless
+       there); the TCP front end never routes Profile here — it diffs
+       snapshots off a loop timer instead. *)
     Sxsi_prof.Prof.ensure_started ();
     let since = Sxsi_prof.Prof.snapshot () in
     Unix.sleepf (float_of_int secs);
@@ -653,3 +644,7 @@ let reject t resp =
 
 let record_admission_wait t ns =
   locked t (fun () -> Metrics.record_admission_wait t.metrics ns)
+
+let histograms t =
+  let copy h = Sxsi_obs.Histogram.merge h (Sxsi_obs.Histogram.create ()) in
+  locked t (fun () -> (copy t.metrics.Metrics.latency, copy t.metrics.Metrics.admission_wait))

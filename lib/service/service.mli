@@ -80,11 +80,6 @@ val shutdown : t -> unit
 (** Join the evaluation pool's domains, if any, and close the
     slow-query log.  Call once no request is in flight; idempotent. *)
 
-val register_server : t -> workers:(unit -> int) -> queue_depth:(unit -> int) -> unit
-(** Hang a server front end's worker-count and accept-queue-depth
-    gauges off the service exposition, so [METRICS] reports them
-    alongside the request counters. *)
-
 val register_exposition : t -> (Sxsi_obs.Exposition.t -> unit) -> unit
 (** Run a registration callback against the service's exposition under
     the service lock — how a front end with its own instrumentation
@@ -106,9 +101,9 @@ val handle :
     [deadline_ms] overrides [options.default_deadline_ms] for this
     request (a session's [DEADLINE] setting; 0 disables the deadline
     entirely).  [elapsed_ns] is time the request already spent before
-    reaching the service — accept-queue wait — and is charged against
-    the deadline, so a request that queued past its deadline fails
-    with [ERR DEADLINE] before doing any work.  Budget overruns inside
+    reaching the service — its wait for the shard executor — and is
+    charged against the deadline, so a request that queued past its
+    deadline fails with [ERR DEADLINE] before doing any work.  Budget overruns inside
     evaluation surface as [ERR DEADLINE] / [ERR BUDGET]; open circuit
     breakers as [ERR BREAKER]; tripped failpoints as [ERR INJECTED]. *)
 
@@ -124,17 +119,22 @@ val reject : t -> Protocol.response -> Protocol.response
     for [Err] — error counters, and return the response unchanged. *)
 
 val record_admission_wait : t -> int -> unit
-(** Record one connection's accept-queue wait (nanoseconds) in the
-    admission-wait histogram. *)
+(** Record one request's wait for the shard executor (nanoseconds) in
+    the admission-wait histogram. *)
+
+val histograms : t -> Sxsi_obs.Histogram.t * Sxsi_obs.Histogram.t
+(** Copies of the request-latency and admission-wait histograms, taken
+    under the service lock — what [Shards.stats] merges to compute
+    percentiles across shards. *)
 
 val profile_response : Sxsi_prof.Prof.snapshot -> Protocol.response
 (** Render the profile window that opened at [since] as the [PROFILE]
     response: a [Data] block whose first line is the
     {!Sxsi_prof.Prof.to_json} report and whose remaining lines are the
-    collapsed-stack ({!Sxsi_prof.Prof.to_folded}) output.  Front ends
-    that cannot afford to block a worker for the window (the event
-    loop) take their own snapshot up front and call this from a timer;
-    the threaded path just sleeps inside [handle]. *)
+    collapsed-stack ({!Sxsi_prof.Prof.to_folded}) output.  The TCP
+    front end cannot afford to block an executor for the window: it
+    takes its own snapshot up front and calls this from a loop timer.
+    Only the blocking [repl] session sleeps inside {!handle}. *)
 
 val stats : t -> (string * string) list
 (** The same key=value pairs the [STATS] request reports. *)

@@ -36,25 +36,37 @@ let shard_of_request t (req : Protocol.request) =
 let add_document t name doc = Service.add_document (for_doc t name) name doc
 let shutdown t = Array.iter Service.shutdown t.services
 
-(* Aggregate STATS across shards: integer values sum, percentile keys
-   take the worst shard, other floats sum, non-numeric values keep the
-   primary's.  Key order follows the primary; keys later shards add
-   are appended.  With one shard this is exactly [Service.stats]. *)
-let is_percentile k =
-  let suffixed s = String.length k >= String.length s
-    && String.sub k (String.length k - String.length s) (String.length s) = s
-  in
-  suffixed "_p50_ms" || suffixed "_p95_ms" || suffixed "_p99_ms"
-
-let merge_values k a b =
+(* Aggregate STATS across shards: integer values sum, floats sum,
+   non-numeric values keep the primary's.  Key order follows the
+   primary; keys later shards add are appended.  Percentiles do not
+   sum (nor does the worst shard's stand for the whole), so they are
+   recomputed from the merge of every shard's histograms, each copied
+   under its own service lock.  With one shard this is exactly
+   [Service.stats]. *)
+let merge_values a b =
   match (int_of_string_opt a, int_of_string_opt b) with
   | Some x, Some y -> string_of_int (x + y)
   | _ -> (
     match (float_of_string_opt a, float_of_string_opt b) with
-    | Some x, Some y ->
-      if is_percentile k then Printf.sprintf "%.3f" (Float.max x y)
-      else Printf.sprintf "%.3f" (x +. y)
+    | Some x, Some y -> Printf.sprintf "%.3f" (x +. y)
     | _ -> a)
+
+let merged_percentiles services =
+  let module H = Sxsi_obs.Histogram in
+  let latency, admission_wait =
+    Array.fold_left
+      (fun (l, a) s ->
+        let l', a' = Service.histograms s in
+        (H.merge l l', H.merge a a'))
+      (H.create (), H.create ())
+      services
+  in
+  [
+    ("latency_p50_ms", Metrics.quantile_ms latency 0.5);
+    ("latency_p95_ms", Metrics.quantile_ms latency 0.95);
+    ("latency_p99_ms", Metrics.quantile_ms latency 0.99);
+    ("admission_wait_p95_ms", Metrics.quantile_ms admission_wait 0.95);
+  ]
 
 let stats t =
   match Array.to_list t.services with
@@ -70,13 +82,16 @@ let stats t =
             (fun (k, v) ->
               match List.assoc_opt k theirs with
               | None -> (k, v)
-              | Some v' -> (k, merge_values k v v'))
+              | Some v' -> (k, merge_values v v'))
             !acc
         in
         let extra = List.filter (fun (k, _) -> not (List.mem_assoc k !acc)) theirs in
         acc := merged @ extra)
       rest;
-    !acc
+    let pct = merged_percentiles t.services in
+    List.map
+      (fun (k, v) -> match List.assoc_opt k pct with Some p -> (k, p) | None -> (k, v))
+      !acc
 
 (* METRICS with shards is a debugging view: each shard's exposition
    under a marker comment.  With one shard it is the plain

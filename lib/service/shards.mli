@@ -36,9 +36,11 @@ val add_document : t -> string -> Sxsi_xml.Document.t -> unit
 (** Register a pre-built document on its home shard. *)
 
 val stats : t -> (string * string) list
-(** Aggregated [STATS]: integers sum across shards, percentiles take
-    the worst shard, the primary's key order is preserved.  Exactly
-    {!Service.stats} with one shard. *)
+(** Aggregated [STATS]: counters and totals sum across shards, the
+    latency and admission-wait percentiles are computed from the
+    {!Sxsi_obs.Histogram.merge} of every shard's histograms, and the
+    primary's key order is preserved.  Exactly {!Service.stats} with
+    one shard. *)
 
 val metrics_text : t -> string
 (** The primary's exposition with one shard; with more, each shard's

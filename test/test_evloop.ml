@@ -112,18 +112,10 @@ let test_wheel_cancel_and_delay () =
     (Wheel.next_delay_ms w ~now_ns:(ms 80))
 
 (* ------------------------------------------------------------------ *)
-(* Poll (both backends)                                                 *)
+(* Poll                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let with_poll_backend name f =
-  let old = Sys.getenv_opt "SXSI_EVLOOP_POLL" in
-  Unix.putenv "SXSI_EVLOOP_POLL" name;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "SXSI_EVLOOP_POLL" (match old with Some v -> v | None -> ""))
-    f
-
-let poll_roundtrip () =
+let test_poll_backend () =
   let r, w = Unix.pipe () in
   Fun.protect
     ~finally:(fun () ->
@@ -156,8 +148,6 @@ let poll_roundtrip () =
       let n = Poll.wait t ~timeout_ms:100 (fun _ _ -> ()) in
       Alcotest.(check int) "removed fd does not fire" 1 n)
 
-let test_poll_backend () = with_poll_backend "poll" poll_roundtrip
-let test_select_backend () = with_poll_backend "select" poll_roundtrip
 
 (* ------------------------------------------------------------------ *)
 (* Single-flight                                                        *)
@@ -568,6 +558,37 @@ let test_shards_routing () =
           Alcotest.(check string) "shards reported" "2"
             (proto_stat ic oc "ev_shards")))
 
+(* Percentiles do not aggregate shard by shard: shard 0 sees 96 fast
+   requests, two 10ms and two 1s ones (its p99 is in the seconds), and
+   shard 1 sees 100 fast ones.  Over all 200 requests the p99 is a 10ms
+   one — neither shard's p99, and not the worst shard's. *)
+let test_shards_merge_percentiles () =
+  let sh = Shards.create ~shards:2 (fun _ -> Service.create ()) in
+  let module H = Sxsi_obs.Histogram in
+  let all = H.create () in
+  let record shard ns =
+    Sxsi_service.Metrics.record_latency (Service.service_metrics (Shards.service sh shard)) ns;
+    H.record all ns
+  in
+  for _ = 1 to 96 do record 0 1_000_000 done;
+  for _ = 1 to 2 do record 0 10_000_000 done;
+  for _ = 1 to 2 do record 0 1_000_000_000 done;
+  for _ = 1 to 100 do record 1 1_000_000 done;
+  let p99 stats = List.assoc "latency_p99_ms" stats in
+  let shard0 = p99 (Service.stats (Shards.service sh 0)) in
+  let shard1 = p99 (Service.stats (Shards.service sh 1)) in
+  let merged = p99 (Shards.stats sh) in
+  Alcotest.(check string) "merged p99 is the p99 of every request"
+    (Sxsi_service.Metrics.quantile_ms all 0.99) merged;
+  Alcotest.(check bool) "merged p99 is not shard 0's" true (merged <> shard0);
+  Alcotest.(check bool) "merged p99 is not shard 1's" true (merged <> shard1);
+  let m = float_of_string merged in
+  (* the 10ms requests' bucket is [2^23, 2^24) ns *)
+  Alcotest.(check bool) (Printf.sprintf "merged p99 %sms is in the 10ms bucket" merged) true
+    (m >= 8.388 && m <= 16.778);
+  Alcotest.(check string) "latency total sums" "2216.000"
+    (List.assoc "latency_ms_total" (Shards.stats sh))
+
 let suite =
   ( "evloop",
     [
@@ -578,7 +599,6 @@ let suite =
       Alcotest.test_case "wheel cancel and delay bound" `Quick
         test_wheel_cancel_and_delay;
       Alcotest.test_case "poll backend" `Quick test_poll_backend;
-      Alcotest.test_case "select backend" `Quick test_select_backend;
       Alcotest.test_case "single-flight join/complete" `Quick test_single_flight;
       Alcotest.test_case "single-flight seal on mutation" `Quick
         test_single_flight_seal;
@@ -593,4 +613,5 @@ let suite =
       Alcotest.test_case "connection churn leaks no fds" `Quick
         test_ev_connection_churn;
       Alcotest.test_case "shards route and aggregate" `Quick test_shards_routing;
+      Alcotest.test_case "shards merge percentiles" `Quick test_shards_merge_percentiles;
     ] )

@@ -376,35 +376,18 @@ let test_concurrent_counts () =
 (* TCP front end                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Which TCP front end the e2e tests drive: the threaded server by
-   default, the event-driven one under SXSI_SERVE_MODE=evloop (the CI
-   matrix runs both).  Tests about threaded-only mechanics (the
-   accept-queue shed path) pin [~mode:`Threaded]. *)
-let serve_mode () =
-  match Sys.getenv_opt "SXSI_SERVE_MODE" with
-  | Some "evloop" -> `Evloop
-  | Some _ | None -> `Threaded
-
 (* Run [body port] against a live server, stopping and joining it
-   afterwards whatever happens.  [workers]/[queue] only apply to the
-   threaded front end. *)
-let with_server ?workers ?queue ?mode svc body =
-  let mode = match mode with Some m -> m | None -> serve_mode () in
+   afterwards whatever happens.  [max_conns] is the server's
+   connection limit. *)
+let with_server ?max_conns svc body =
   let stop = Atomic.make false in
   let port = Atomic.make 0 in
   let server =
     Domain.spawn (fun () ->
-        match mode with
-        | `Threaded ->
-          Server.serve ?workers ?queue ~port:0
-            ~on_listen:(fun p -> Atomic.set port p)
-            ~stop:(fun () -> Atomic.get stop)
-            svc
-        | `Evloop ->
-          Ev_server.serve ~port:0
-            ~on_listen:(fun p -> Atomic.set port p)
-            ~stop:(fun () -> Atomic.get stop)
-            (Shards.of_service svc))
+        Ev_server.serve ?max_conns ~port:0
+          ~on_listen:(fun p -> Atomic.set port p)
+          ~stop:(fun () -> Atomic.get stop)
+          (Shards.of_service svc))
   in
   Fun.protect
     ~finally:(fun () ->
@@ -462,15 +445,14 @@ let test_tcp_server () =
 
 let connect port = Unix.open_connection (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
 
-(* Regression for the worker-reaping race of the domain-per-connection
-   server: cycle many short-lived connections and verify, once [serve]
-   has returned (joining its fixed workers), that every accepted session
-   also finished — no connection, and so no domain, leaked. *)
+(* Cycle many short-lived connections and verify, once [serve] has
+   returned (closing every connection and joining its executors), that
+   every accepted session also finished — no connection leaked. *)
 let test_connection_churn () =
   let svc = Service.create () in
   Service.add_document svc "d" (small_doc "root" 10);
   let rounds = 40 in
-  with_server ~workers:2 ~queue:8 svc (fun port ->
+  with_server svc (fun port ->
       for _ = 1 to rounds do
         let ic, oc = connect port in
         Fun.protect
@@ -487,26 +469,28 @@ let test_connection_churn () =
             | Ok r -> Alcotest.fail ("unexpected: " ^ Protocol.print_response r)
             | Error e -> Alcotest.fail ("client read: " ^ e))
       done);
-  (* serve has returned: every worker is joined, so all sessions ended *)
+  (* serve has returned: every connection is closed, so all sessions ended *)
   let opened = int_of_string (stats_value svc "connections_opened") in
   let closed = int_of_string (stats_value svc "connections_closed") in
   Alcotest.(check int) "every connection accepted" rounds opened;
   Alcotest.(check int) "every session finished" opened closed;
   Alcotest.(check string) "nothing shed" "0" (stats_value svc "connections_shed")
 
+(* Past the connection limit a new connection is refused with a
+   protocol-shaped ERR SHED and closed, while the admitted ones keep
+   being served. *)
 let test_load_shedding () =
   let svc = Service.create () in
   Service.add_document svc "d" (small_doc "root" 5);
-  with_server ~workers:1 ~queue:1 ~mode:`Threaded svc (fun port ->
-      (* occupy the single worker; reading a response proves the worker
-         (not the accept loop) owns this session *)
+  with_server ~max_conns:2 svc (fun port ->
+      (* A is admitted; reading a response proves the server owns it *)
       let ic_a, oc_a = connect port in
       output_string oc_a "COUNT d //item\n";
       flush oc_a;
-      Alcotest.(check string) "worker busy with A" "OK 5" (input_line ic_a);
-      (* fill the one queue slot *)
+      Alcotest.(check string) "A served" "OK 5" (input_line ic_a);
+      (* B takes the second and last slot *)
       let ic_b, oc_b = connect port in
-      (* wait until the accept loop has queued B *)
+      (* wait until the loop has accepted B *)
       let deadline = Unix.gettimeofday () +. 5.0 in
       while
         (try int_of_string (stats_value svc "connections_opened") < 2
@@ -531,11 +515,11 @@ let test_load_shedding () =
       Alcotest.(check bool) "shed closes the connection" true
         (match input_line ic_c with _ -> false | exception End_of_file -> true);
       (try Unix.shutdown_connection ic_c with _ -> ());
-      (* release the worker: A ends, B gets served from the queue *)
+      (* the admitted connections are still served *)
       (try Unix.shutdown_connection ic_a with _ -> ());
       output_string oc_b "COUNT d //item\nQUIT\n";
       flush oc_b;
-      Alcotest.(check string) "queued connection served" "OK 5" (input_line ic_b);
+      Alcotest.(check string) "admitted connection served" "OK 5" (input_line ic_b);
       try Unix.shutdown_connection ic_b with _ -> ());
   Alcotest.(check string) "shed counted" "1" (stats_value svc "connections_shed");
   let opened = int_of_string (stats_value svc "connections_opened") in
@@ -683,7 +667,7 @@ let test_err_injected_and_toolong () =
               check_code "injected fault" "INJECTED" (exchange ic oc "COUNT d //item");
               Failpoint.deactivate_all ();
               (* an oversized request line: refused, drained, session survives *)
-              let long = "COUNT d " ^ String.make (Server.default_max_line + 100) 'x' in
+              let long = "COUNT d " ^ String.make (Protocol.default_max_line + 100) 'x' in
               check_code "oversized line" "TOOLONG" (exchange ic oc long);
               (match exchange ic oc "COUNT d //item" with
               | Protocol.Ok [ "5" ] -> ()
@@ -724,8 +708,8 @@ let test_deadline_session_override () =
 
 (* End to end: a server under a 50ms default deadline answers a
    pathological (failpoint-delayed) query with ERR DEADLINE promptly —
-   the delay is 75ms, so ~1.5x the deadline — and the single worker is
-   reused for a healthy request afterwards. *)
+   the delay is 75ms, so ~1.5x the deadline — and the single shard
+   executor (the worker) is reused for a healthy request afterwards. *)
 let test_e2e_deadline_prompt_and_worker_reused () =
   with_clean_failpoints (fun () ->
       let svc =
@@ -735,7 +719,7 @@ let test_e2e_deadline_prompt_and_worker_reused () =
       in
       Service.add_document svc "d" (small_doc "root" 5);
       Failpoint.activate "engine.eval" (Failpoint.Delay_ms 75);
-      with_server ~workers:1 svc (fun port ->
+      with_server svc (fun port ->
           let ic, oc = connect port in
           Fun.protect
             ~finally:(fun () -> try Unix.shutdown_connection ic with _ -> ())
@@ -750,8 +734,8 @@ let test_e2e_deadline_prompt_and_worker_reused () =
                 (Printf.sprintf "answered promptly (%.0fms)" (dt *. 1000.))
                 true (dt < 1.0);
               ignore (exchange ic oc "QUIT"));
-          (* the worker survives the deadline and serves the next
-             connection (workers=1: this is the same worker) *)
+          (* the executor survives the deadline and serves the next
+             connection (one shard: this is the same executor) *)
           Failpoint.deactivate_all ();
           let ic, oc = connect port in
           Fun.protect
